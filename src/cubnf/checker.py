@@ -37,9 +37,11 @@ from .cof import (
 )
 from .convert import (
     DEFAULT_FUEL,
+    FUEL_EXHAUSTED,
     NO,
     UNKNOWN,
     _Conv,
+    _OutOfFuel,
     bounded_convert,
     bounded_convert_tp,
 )
@@ -66,6 +68,12 @@ class CheckError(Exception):
         self.kind = kind
         self.path = path
         self.message = message
+
+
+class Undecided(CheckError):
+    """Checking cannot go on past an unknown side condition, which has
+    already been recorded as a warning.  The declaration is unknown, not
+    rejected."""
 
 
 @dataclass
@@ -103,12 +111,17 @@ class Checker:
         if v.kind == UNKNOWN:
             self._unknown(path, f"{what} ({v.reason})")
 
-    def _whnf_tp(self, ctx: Ctx, ty: S.Tp) -> S.Tp:
+    def _whnf_tp(self, ctx: Ctx, ty: S.Tp, path: Path) -> S.Tp:
+        """Weak-head reduce a type.  Out of fuel, its head is unknown, so
+        checking stops here with an unknown side condition instead of
+        judging the unreduced type."""
         conv = _Conv(ctx, TOP_BRANCH, self.fuel)
         try:
             return conv.whnf_tp(ty)
-        except Exception:
-            return ty
+        except _OutOfFuel:
+            message = f"weak-head reduction of the type ({FUEL_EXHAUSTED})"
+            self._unknown(path, message)
+            raise Undecided("side-condition-unknown", path, message)
 
     def _scope_ie(self, ctx: Ctx, r, path: Path) -> None:
         for n in ivars(r):
@@ -179,26 +192,26 @@ class Checker:
                 return ty, BOT
             case N.NApp(f, a):
                 tf, phi = self.check_ne(ctx, f, path + ("fn",))
-                tf = self._whnf_tp(ctx, tf)
+                tf = self._whnf_tp(ctx, tf, path)
                 if not isinstance(tf, S.Pi):
                     raise CheckError("rule-mismatch", path, "application head is not a function")
                 self.check_nf(ctx, a, tf.dom, path + ("arg",))
                 return S.subst_tp(tf.cod, tf.var, embed(a)), phi
             case N.NFst(p):
                 tp, phi = self.check_ne(ctx, p, path + ("pair",))
-                tp = self._whnf_tp(ctx, tp)
+                tp = self._whnf_tp(ctx, tp, path)
                 if not isinstance(tp, S.Sigma):
                     raise CheckError("rule-mismatch", path, "projection from a non-pair type")
                 return tp.dom, phi
             case N.NSnd(p):
                 tp, phi = self.check_ne(ctx, p, path + ("pair",))
-                tp = self._whnf_tp(ctx, tp)
+                tp = self._whnf_tp(ctx, tp, path)
                 if not isinstance(tp, S.Sigma):
                     raise CheckError("rule-mismatch", path, "projection from a non-pair type")
                 return S.subst_tp(tp.cod, tp.var, S.Fst(embed_ne(p))), phi
             case N.NIf(x, motive, scrut, on_true, on_false):
                 tb, phi = self.check_ne(ctx, scrut, path + ("scrut",))
-                tb = self._whnf_tp(ctx, tb)
+                tb = self._whnf_tp(ctx, tb, path)
                 if not isinstance(tb, S.Bool):
                     raise CheckError("rule-mismatch", path, "if-scrutinee is not a boolean")
                 self.check_nftp(ctx.extend_tm(x, S.BOOL), motive, path + ("motive",))
@@ -208,7 +221,7 @@ class Checker:
                 return S.subst_tp(praw, x, embed_ne(scrut)), phi
             case N.NPApp(p, r):
                 tp, phi = self.check_ne(ctx, p, path + ("fn",))
-                tp = self._whnf_tp(ctx, tp)
+                tp = self._whnf_tp(ctx, tp, path)
                 if not isinstance(tp, S.Path):
                     raise CheckError("rule-mismatch", path, "path application head is not a path")
                 self._scope_ie(ctx, r, path)
@@ -216,7 +229,7 @@ class Checker:
                         Join((phi, Eq(r, ZERO), Eq(r, ONE))))
             case N.NUnglue(phi_ann, g):
                 tg, psi = self.check_ne(ctx, g, path + ("arg",))
-                tg = self._whnf_tp(ctx, tg)
+                tg = self._whnf_tp(ctx, tg, path)
                 if not isinstance(tg, S.GlueTp):
                     raise CheckError("rule-mismatch", path, "unglue of a non-glue type")
                 if not cof_eq(ctx.cof_hyps(), phi_ann, tg.phi):
@@ -225,7 +238,7 @@ class Checker:
                 return tg.base, Join((psi, phi_ann))
             case N.NS1Elim(x, motive, scrut, on_base, lv, on_loop):
                 tt, phi = self.check_ne(ctx, scrut, path + ("scrut",))
-                tt = self._whnf_tp(ctx, tt)
+                tt = self._whnf_tp(ctx, tt, path)
                 if not isinstance(tt, S.S1):
                     raise CheckError("rule-mismatch", path, "circle eliminator scrutinee is not in the circle")
                 self.check_nftp(ctx.extend_tm(x, S.CIRCLE), motive, path + ("motive",))
@@ -249,7 +262,7 @@ class Checker:
         match t:
             case N.NEl(c):
                 tc, phi = self.check_ne(ctx, c, path + ("code",), expected=S.UNIV)
-                tc = self._whnf_tp(ctx, tc)
+                tc = self._whnf_tp(ctx, tc, path)
                 if not isinstance(tc, S.U):
                     raise CheckError("rule-mismatch", path, "el of a non-universe code")
                 return phi
@@ -284,7 +297,7 @@ class Checker:
 
     def check_nf(self, ctx: Ctx, t: Nf, ty: S.Tp, path: Path = ()) -> None:
         assert not ctx.cof_hyps(), "normal forms are checked in cofibration-free contexts"
-        ty_w = self._whnf_tp(ctx, ty)
+        ty_w = self._whnf_tp(ctx, ty, path)
         match t:
             case N.NLam(x, body):
                 if not isinstance(ty_w, S.Pi):

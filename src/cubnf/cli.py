@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from . import parser as P
 from . import syntax as S
-from .checker import CheckError, Checker, check_declared_nf
+from .checker import CheckError, Checker, Undecided, check_declared_nf
 from .cof import IVar, ONE, ZERO, cof_eq, dnf, entails, forall_elim
 from .convert import DEFAULT_FUEL
 from .engine import eq_nf, eq_split, subst_i_nf
@@ -72,6 +72,8 @@ def check_one(decl, fuel: int, strict: bool) -> dict:
                 if not entails(list(hyps), goal):
                     entry["errors"].append({"kind": "cof-not-entailed", "path": "",
                                             "message": "entailment does not hold"})
+    except Undecided:
+        pass  # already a warning
     except CheckError as e:
         entry["errors"].append({"kind": e.kind, "path": "/".join(e.path),
                                 "message": e.message})
@@ -225,12 +227,23 @@ def cmd_subst(args) -> int:
     ctx2 = S.ctx_subst_i(ctx, args.var, target)
     ty2 = S.subst_i_tp(decl.ty, args.var, target)
     ck = Checker(fuel=args.fuel, strict=args.strict)
-    ck.check_nf(ctx2, result, ty2)  # every printed result re-checks
+    undecided = None
+    try:
+        ck.check_nf(ctx2, result, ty2)  # every printed result re-checks
+    except Undecided as e:
+        undecided = e
+    except CheckError as e:
+        print(f"error: the substituted result does not check: {e}", file=sys.stderr)
+        return 1
     rendered = write(P.print_nf(result))
     if args.json:
         print(json.dumps({"result": rendered}, sort_keys=True, separators=(",", ":")))
     else:
         print(rendered)
+    if undecided is not None:
+        print(f"warning: the substituted result could not be re-checked: {undecided}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

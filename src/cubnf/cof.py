@@ -1,15 +1,19 @@
 """Interval expressions, cofibrations, and the face-lattice decision procedures.
 
 Cofibrations are positive formulas (equations, finite meets, finite joins)
-over interval expressions.  Entailment and equality are decided by putting
-formulas into a canonical disjunctive normal form whose branches carry the
-congruence closure of their atoms.  There is no negation anywhere in the
-constructor set.
+over interval expressions.  A branch is a conjunction of equations carrying
+its congruence closure.  Entailment is decided by a pruned depth-first
+search over the raw branches of the hypotheses, evaluating the goal on each
+branch closure; equality is entailment both ways.  The canonical disjunctive
+normal form (`dnf`) is kept for where its shape is visible: split shapes,
+`cubnf cof dnf` and normal-form comparison.  There is no negation anywhere
+in the constructor set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -189,16 +193,23 @@ class Branch:
     atoms: tuple[Atom, ...]
     classes: tuple[tuple[IExpr, ...], ...]
     consistent: bool
+    # every non-representative class member -> its representative, built
+    # from `classes` on first use; no part of equality, hashing or repr
+    _reps: dict[IExpr, IExpr] | None = field(default=None, init=False, repr=False,
+                                             compare=False)
+
+    def rep_map(self) -> dict[IExpr, IExpr]:
+        if self._reps is None:
+            reps = {e: cls[0] for cls in self.classes for e in cls[1:]}
+            object.__setattr__(self, "_reps", reps)
+        return self._reps
 
     def holds(self, lhs: IExpr, rhs: IExpr) -> bool:
         """Does the equation lhs = rhs hold in this branch's closure?"""
         return self.rep(lhs) == self.rep(rhs)
 
     def rep(self, e: IExpr) -> IExpr:
-        for cls in self.classes:
-            if e in cls:
-                return cls[0]
-        return e
+        return self.rep_map().get(e, e)
 
     def satisfies(self, other: Branch) -> bool:
         """Every atom of `other` holds in this branch's closure."""
@@ -229,6 +240,10 @@ class Branch:
         return tuple((a.key(), b.key()) for a, b in self.atoms)
 
 
+def _ekey(e: IExpr) -> tuple[int, str]:
+    return e.key()
+
+
 def branch_of_eqs(eqs: Iterable[Atom]) -> Branch:
     """Close a set of equations into a canonical branch."""
     uf = _UnionFind()
@@ -241,7 +256,7 @@ def branch_of_eqs(eqs: Iterable[Atom]) -> Branch:
     for e in touched:
         groups.setdefault(uf.find(e), []).append(e)
     classes = tuple(
-        tuple(sorted(cls, key=lambda e: e.key()))
+        tuple(sorted(cls, key=_ekey))
         for root, cls in sorted(groups.items(), key=lambda kv: kv[0].key())
         if len(cls) > 1
     )
@@ -258,7 +273,31 @@ TOP_BRANCH = branch_of_eqs([])
 
 
 def _merge(b: Branch, c: Branch) -> Branch:
-    return branch_of_eqs(b.atoms + c.atoms)
+    """The closure of b's and c's atoms together: the same branch as
+    branch_of_eqs(b.atoms + c.atoms), built by adding c's atoms to b's
+    sorted classes instead of closing everything again."""
+    reps = dict(b.rep_map())
+    members = {cls[0]: list(cls) for cls in b.classes}
+    for x, y in c.atoms:
+        rx, ry = reps.get(x, x), reps.get(y, y)
+        if rx == ry:
+            continue
+        if rx.key() > ry.key():
+            rx, ry = ry, rx
+        absorbed = members.pop(ry, [ry])
+        for e in absorbed:
+            reps[e] = rx
+        small, large = sorted((members.pop(rx, [rx]), absorbed), key=len)
+        for e in small:
+            insort(large, e, key=_ekey)
+        members[rx] = large
+    if len(reps) == len(b.rep_map()):
+        return b
+    classes = tuple(tuple(members[r]) for r in sorted(members, key=_ekey))
+    atoms = tuple((cls[0], e) for cls in classes for e in cls[1:])
+    out = Branch(atoms, classes, reps.get(ONE, ONE) != ZERO)
+    object.__setattr__(out, "_reps", reps)
+    return out
 
 
 def _raw_dnf(phi: Cof) -> Iterator[Branch]:
@@ -291,12 +330,58 @@ def dnf(phi: Cof) -> list[Branch]:
     return [b for b in branches if not any(c != b and b.satisfies(c) for c in branches)]
 
 
+def _conjuncts(hyps: list[Cof]) -> list[Cof]:
+    """The hypotheses as a flat list of conjuncts, nested meets opened in
+    order.  An explicit stack keeps deep nesting off the call stack."""
+    out: list[Cof] = []
+    todo = list(reversed(hyps))
+    while todo:
+        phi = todo.pop()
+        if isinstance(phi, Meet):
+            todo.extend(reversed(phi.parts))
+        else:
+            out.append(phi)
+    return out
+
+
+def _holds(phi: Cof, reps: dict[IExpr, IExpr]) -> bool:
+    """Is phi true in the closure of a consistent branch, given its
+    `rep_map`?  Exactly when the branch satisfies some branch of dnf(phi)."""
+    match phi:
+        case Eq(lhs, rhs):
+            return reps.get(lhs, lhs) == reps.get(rhs, rhs)
+        case Meet(parts):
+            return all(_holds(p, reps) for p in parts)
+        case Join(parts):
+            return any(_holds(p, reps) for p in parts)
+    raise TypeError(f"not a cofibration: {phi!r}")
+
+
 def entails(hyps: list[Cof], goal: Cof) -> bool:
-    """Face-lattice entailment: every consistent branch of the hypotheses
-    satisfies some branch of the goal."""
-    hyp_branches = dnf(Meet(tuple(hyps)))
-    goal_branches = dnf(goal)
-    return all(any(b.satisfies(c) for c in goal_branches) for b in hyp_branches)
+    """Face-lattice entailment: the goal holds in every consistent branch
+    of the hypotheses.
+
+    Depth-first search over the hypothesis conjuncts, extending a partial
+    branch by one raw branch of the next conjunct at a time.  A partial
+    branch is dropped once it is inconsistent or the goal holds in it; both
+    carry over to every refinement.  A conjunct that already holds in the
+    partial branch is passed without splitting, since its other branches
+    only refine it.  Neither side is put into canonical DNF.
+    """
+    options = [[c for c in _raw_dnf(phi) if c.consistent] for phi in _conjuncts(hyps)]
+    # (partial branch, raw branch to add to it, conjuncts decided after)
+    stack = [(TOP_BRANCH, TOP_BRANCH, 0)]
+    while stack:
+        b, c, depth = stack.pop()
+        b = _merge(b, c)
+        if not b.consistent or _holds(goal, b.rep_map()):
+            continue
+        while depth < len(options) and any(b.satisfies(o) for o in options[depth]):
+            depth += 1
+        if depth == len(options):
+            return False
+        stack.extend((b, c, depth + 1) for c in options[depth])
+    return True
 
 
 def cof_eq(hyps: list[Cof], phi: Cof, psi: Cof) -> bool:

@@ -419,7 +419,8 @@ def split_select(hyps: list[Cof], sp: Split):
     In a cofibration-free context this is exactly the unconstrained case."""
     from .cof import entails
     for case in sp.cases:
-        if all(entails(hyps, Eq(a, b)) for a, b in case.branch.atoms):
+        # an unconstrained case needs no query
+        if not case.branch.atoms or entails(hyps, case.branch.to_cof()):
             return case.payload
     return None
 

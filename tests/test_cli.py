@@ -127,6 +127,14 @@ def test_subst_command(good_file, capsys):
     assert code == 0 and out.strip() == "base"
 
 
+def test_subst_out_of_fuel_is_a_warning(capsys):
+    path = os.path.join(POSITIVE_DIR, "05-path.cub")
+    code, out = run_cli(["subst", "--fuel", "1", path, "path-dep", "j", "0"], capsys)
+    assert code == 2 and out.strip() == "true"
+    code, out = run_cli(["subst", path, "path-dep", "j", "0"], capsys)
+    assert code == 0 and out.strip() == "true"
+
+
 def test_subst_unknown_name(good_file, capsys):
     code = main(["subst", good_file, "nope", "i", "0"])
     assert code == 1

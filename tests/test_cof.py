@@ -7,6 +7,7 @@ import pytest
 
 from cubnf.cof import (
     BOT,
+    Branch,
     Cof,
     Eq,
     IVar,
@@ -14,7 +15,9 @@ from cubnf.cof import (
     Meet,
     ONE,
     TOP,
+    TOP_BRANCH,
     ZERO,
+    _merge,
     branch_of_eqs,
     cof_eq,
     csubst,
@@ -24,7 +27,7 @@ from cubnf.cof import (
     forall_elim,
     isubst,
 )
-from cubnf.oracle import oracle_entails
+from cubnf.oracle import _substitutions, oracle_entails
 
 i, j, k = IVar("i"), IVar("j"), IVar("k")
 
@@ -104,7 +107,7 @@ def test_oracle_examples():
 
 
 def test_oracle_guard():
-    vs = [IVar(n) for n in "abcde"]
+    vs = [IVar(n) for n in "abcdef"]
     goal = Meet(tuple(Eq(v, ZERO) for v in vs))
     with pytest.raises(ValueError):
         oracle_entails([], goal)
@@ -185,6 +188,105 @@ def test_solver_agrees_with_oracle_random_four_vars():
         h = _random_cof(rng, names, 3)
         g = _random_cof(rng, names, 3)
         assert entails([h], g) == oracle_entails([h], g, variables=names), (h, g)
+
+
+def test_solver_agrees_with_oracle_random_five_vars_hypothesis_lists():
+    rng = random.Random(5)
+    names = ["i", "j", "k", "l", "m"]
+    for _ in range(600):
+        hyps = [_random_cof(rng, names, 3) for _ in range(rng.randint(1, 3))]
+        g = _random_cof(rng, names, 3)
+        assert entails(hyps, g) == oracle_entails(hyps, g, variables=names), (hyps, g)
+
+
+def _kernel(sigma, names):
+    """Which of 0, 1 and the variables the substitution identifies."""
+    elems = [ZERO, ONE] + [sigma[n] for n in names]
+    return frozenset((a, b) for a in range(len(elems)) for b in range(a)
+                     if elems[a] == elems[b])
+
+
+def test_oracle_substitutions_one_per_pattern():
+    # every map into {0, 1} ∪ variables identifies exactly what one of the
+    # enumerated substitutions does, and no two of those identify the same
+    for n, count in [(0, 1), (1, 3), (2, 10), (3, 37), (4, 151), (5, 674)]:
+        names = [f"v{x}" for x in range(n)]
+        kernels = [_kernel(s, names) for s in _substitutions(names)]
+        assert len(kernels) == len(set(kernels)) == count
+        if n <= 3:
+            targets = [ZERO, ONE] + [IVar(v) for v in names]
+            every = {_kernel(dict(zip(names, c)), names)
+                     for c in itertools.product(targets, repeat=n)}
+            assert every == set(kernels)
+
+
+# ---------------------------------------------------------------------------
+# Entailment by search against the canonical-DNF definition
+
+
+def _entails_by_dnf(hyps, goal):
+    """The definition the search replaces: both sides in canonical DNF."""
+    return all(any(b.satisfies(c) for c in dnf(goal)) for b in dnf(Meet(tuple(hyps))))
+
+
+def test_entails_agrees_with_dnf_definition_pool():
+    pool = _pool(["i", "j"], depth=2)
+    rng = random.Random(11)
+    for _ in range(3000):
+        hyps = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        g = rng.choice(pool)
+        assert entails(hyps, g) == _entails_by_dnf(hyps, g), (hyps, g)
+
+
+@pytest.mark.parametrize("names,seed", [(["i", "j", "k"], 20260810), (["i", "j", "k", "l"], 4)])
+def test_entails_agrees_with_dnf_definition_random(names, seed):
+    rng = random.Random(seed)
+    for _ in range(2000):
+        hyps = [_random_cof(rng, names, 3) for _ in range(rng.randint(1, 3))]
+        g = _random_cof(rng, names, 3)
+        assert entails(hyps, g) == _entails_by_dnf(hyps, g), (hyps, g)
+
+
+def _boundary(names):
+    return Meet(tuple(Join((Eq(IVar(v), ZERO), Eq(IVar(v), ONE))) for v in names))
+
+
+def test_entails_wide_cube_boundary():
+    names = [f"v{n}" for n in range(1, 13)]
+    cube = _boundary(names)
+    assert entails([cube], _boundary(names[:1]))
+    assert cof_eq([], cube, _boundary(names[::-1]))
+    assert not entails([cube], Eq(IVar("v1"), ZERO))
+
+
+def test_entails_long_hypothesis_list():
+    # 3,000 conjuncts, searched to full depth without recursion
+    many = [Join((Eq(IVar(f"v{n}"), ZERO), Eq(IVar(f"v{n}"), ONE))) for n in range(3000)]
+    assert entails(many, _boundary(["v0"]))
+    assert not entails(many[:1] + many[:1] * 2999, Eq(IVar("v0"), ZERO))
+    chain = [Eq(IVar(f"v{n}"), IVar(f"v{n + 1}")) for n in range(3000)]
+    assert entails(chain + [Eq(IVar("v3000"), ONE)], Eq(IVar("v0"), ONE))
+    nested = TOP
+    for hyp in chain:
+        nested = Meet((hyp, nested))
+    assert not entails([nested], Eq(IVar("v3000"), ZERO))
+
+
+def test_merge_is_closure_of_both():
+    pool = [b for phi in _pool(["i", "j", "k"], depth=2) for b in dnf(phi)]
+    pool += [branch_of_eqs([(ZERO, ONE)]), TOP_BRANCH]
+    rng = random.Random(12)
+    for _ in range(3000):
+        b, c = rng.choice(pool), rng.choice(pool)
+        assert _merge(b, c) == branch_of_eqs(b.atoms + c.atoms), (b, c)
+
+
+def test_branch_representatives_do_not_show():
+    b = branch_of_eqs([(j, i), (k, ONE)])
+    assert b.rep(j) == i and b.rep(k) == ONE and b.rep(ZERO) == ZERO
+    same = Branch(b.atoms, b.classes, b.consistent)
+    assert same == b and hash(same) == hash(b)
+    assert repr(b) == f"Branch(atoms={b.atoms!r}, classes={b.classes!r}, consistent=True)"
 
 
 def test_extensionality_coherence():

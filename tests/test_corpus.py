@@ -34,6 +34,27 @@ def test_positive_file_accepted(path):
         assert entry["status"] in ("ok", "warning"), (idx, entry["errors"])
 
 
+@pytest.mark.parametrize("fuel", [1, 2, 5, 20])
+@pytest.mark.parametrize("path", POSITIVE, ids=os.path.basename)
+def test_positive_file_never_rejected_at_low_fuel(path, fuel):
+    # running out of fuel is unknown (a warning), never a rejection
+    decls = parse_file(_read(path))
+    for idx, decl in enumerate(decls):
+        entry = check_one(decl, fuel=fuel, strict=False)
+        assert entry["status"] != "error", (idx, entry["errors"])
+
+
+def test_fuel_exhaustion_in_type_reduction_is_unknown():
+    # 05-path.cub's path-dep needs its type reduced before it can be checked
+    path = next(p for p in POSITIVE if p.endswith("05-path.cub"))
+    decl = next(d for d in parse_file(_read(path)) if getattr(d, "name", None) == "path-dep")
+    entry = check_one(decl, fuel=1, strict=False)
+    assert entry["status"] == "warning"
+    assert any("fuel-exhausted" in w["message"] for w in entry["warnings"])
+    strict = check_one(decl, fuel=1, strict=True)
+    assert [e["kind"] for e in strict["errors"]] == ["side-condition-unknown"]
+
+
 @pytest.mark.parametrize("path", NEGATIVE, ids=os.path.basename)
 def test_negative_file_rejected_with_kind(path):
     text = _read(path)
